@@ -12,6 +12,14 @@
 //! Numbers are held as `f64`. Every integer the simulator reports (cycle
 //! counts bounded by the 2×10⁹-cycle watchdog, instruction and message
 //! counters) is far below 2⁵³, so integer round-trips are exact.
+//!
+//! Nesting is capped at `MAX_DEPTH` arrays/objects: the parser recurses
+//! once per level, so an unbounded input (say 200 000 `[`) would otherwise
+//! overflow the stack and abort the process instead of returning an error.
+
+/// Deepest array/object nesting [`parse`] accepts. The simulator's own
+/// reports nest a handful of levels deep.
+const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value. Object keys keep their original order.
 #[derive(Clone, Debug, PartialEq)]
@@ -138,7 +146,7 @@ pub fn parse(text: &str) -> Result<JsonValue, JsonError> {
     let b = text.as_bytes();
     let mut pos = 0usize;
     skip_ws(b, &mut pos);
-    let v = parse_value(b, &mut pos)?;
+    let v = parse_value(b, &mut pos, 0)?;
     skip_ws(b, &mut pos);
     if pos != b.len() {
         return Err(JsonError::new("trailing garbage", pos));
@@ -152,9 +160,11 @@ fn skip_ws(b: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<JsonValue, JsonError> {
+/// Parse the value at `pos`; `depth` counts the arrays/objects enclosing it.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, JsonError> {
     match b.get(*pos) {
         None => Err(JsonError::new("unexpected end of input", *pos)),
+        Some(b'{' | b'[') if depth >= MAX_DEPTH => Err(JsonError::new("nesting too deep", *pos)),
         Some(b'{') => {
             *pos += 1;
             let mut pairs = Vec::new();
@@ -172,7 +182,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<JsonValue, JsonError> {
                 }
                 *pos += 1;
                 skip_ws(b, pos);
-                let val = parse_value(b, pos)?;
+                let val = parse_value(b, pos, depth + 1)?;
                 pairs.push((key, val));
                 skip_ws(b, pos);
                 match b.get(*pos) {
@@ -195,7 +205,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<JsonValue, JsonError> {
             }
             loop {
                 skip_ws(b, pos);
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(b, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -357,6 +367,25 @@ mod tests {
         assert_eq!(arr[0].as_u64(), Some(2_000_000_000));
         assert_eq!(arr[1].as_f64(), Some(9007199254740992.0));
         assert_eq!(arr[2].as_u64(), Some(0));
+    }
+
+    #[test]
+    fn nesting_is_capped_not_a_stack_overflow() {
+        let deep = "[".repeat(200_000);
+        let err = parse(&deep).unwrap_err();
+        assert_eq!(err.msg, "nesting too deep");
+        assert_eq!(err.at, MAX_DEPTH);
+        let objs = "{\"a\":".repeat(200_000);
+        assert_eq!(parse(&objs).unwrap_err().msg, "nesting too deep");
+        // Exactly at the cap still parses; one level more does not.
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        let mut v = &parse(&at_cap).unwrap();
+        for _ in 1..MAX_DEPTH {
+            v = &v.as_arr().unwrap()[0];
+        }
+        assert_eq!(v.as_arr().map(<[JsonValue]>::len), Some(0));
+        let over = format!("[{at_cap}]");
+        assert_eq!(parse(&over).unwrap_err().msg, "nesting too deep");
     }
 
     #[test]

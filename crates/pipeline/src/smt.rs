@@ -88,24 +88,54 @@ impl FrontQueue {
         }
     }
 
-    /// Remove (in order) all entries of one context — squash support.
-    fn remove_ctx(&mut self, ctx: Ctx) -> Vec<(u64, Inst)> {
+    /// Move (in order) all entries of one context to the back of `out` —
+    /// squash support. Returns how many moved.
+    fn remove_ctx(&mut self, ctx: Ctx, out: &mut VecDeque<(u64, Inst)>) -> usize {
         let q = if ctx.is_protocol() {
             &mut self.prot
         } else {
             &mut self.app
         };
-        let mut out = Vec::new();
-        let mut kept = VecDeque::with_capacity(q.len());
-        while let Some(e) = q.pop_front() {
+        let before = out.len();
+        q.retain(|e| {
             if e.ctx == ctx {
-                out.push((e.seq, e.inst));
-            } else {
-                kept.push_back(e);
+                out.push_back((e.seq, e.inst));
             }
+            e.ctx != ctx
+        });
+        out.len() - before
+    }
+}
+
+/// The active contexts in commit priority order: application threads
+/// `0..app_threads`, then the protocol context on SMTp. A fixed-size `Copy`
+/// list, so the per-cycle stages can walk it while mutating the pipeline.
+#[derive(Clone, Copy, Debug)]
+struct ActiveCtxs {
+    ctxs: [Ctx; MAX_CTX],
+    len: usize,
+}
+
+impl ActiveCtxs {
+    fn new(app_threads: usize, smtp: bool) -> ActiveCtxs {
+        let mut ctxs = [Ctx(0); MAX_CTX];
+        for (i, c) in ctxs.iter_mut().enumerate().take(app_threads) {
+            *c = Ctx(i as u8);
         }
-        *q = kept;
-        out
+        let mut len = app_threads;
+        if smtp {
+            ctxs[len] = Ctx::protocol();
+            len += 1;
+        }
+        ActiveCtxs { ctxs, len }
+    }
+}
+
+impl std::ops::Deref for ActiveCtxs {
+    type Target = [Ctx];
+
+    fn deref(&self) -> &[Ctx] {
+        &self.ctxs[..self.len]
     }
 }
 
@@ -122,7 +152,7 @@ pub struct SmtPipeline {
     node: NodeId,
     p: PipelineParams,
     app_threads: usize,
-    smtp: bool,
+    active: ActiveCtxs,
     reserve: usize,
     threads: Vec<ThreadState>,
     regs: RegFiles,
@@ -161,7 +191,7 @@ impl SmtPipeline {
             node,
             p: p.clone(),
             app_threads,
-            smtp,
+            active: ActiveCtxs::new(app_threads, smtp),
             reserve,
             threads,
             regs: RegFiles::new(
@@ -198,15 +228,6 @@ impl SmtPipeline {
     /// the sync events fired at `SyncStore` graduation).
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.tracer = tracer;
-    }
-
-    /// Active contexts in commit priority order.
-    fn active_ctxs(&self) -> Vec<Ctx> {
-        let mut v: Vec<Ctx> = (0..self.app_threads).map(|i| Ctx(i as u8)).collect();
-        if self.smtp {
-            v.push(Ctx::protocol());
-        }
-        v
     }
 
     /// Whether every application thread has finished its program.
@@ -304,13 +325,14 @@ impl SmtPipeline {
         }
         self.resolving
             .sort_unstable_by_key(|r| (r.at, r.ctx.0, r.seq));
-        let (due, rest): (Vec<Resolve>, Vec<Resolve>) = std::mem::take(&mut self.resolving)
-            .into_iter()
-            .partition(|r| r.at <= now);
-        self.resolving = rest;
-        for r in due {
+        // Sorted, the due entries form a prefix. Anything pushed while it
+        // resolves lands behind the not-yet-due rest.
+        let due = self.resolving.partition_point(|r| r.at <= now);
+        for i in 0..due {
+            let r = self.resolving[i];
             self.resolve_one(r, now, env);
         }
+        self.resolving.drain(..due);
     }
 
     fn resolve_one(&mut self, r: Resolve, now: Cycle, _env: &mut dyn PipeEnv) {
@@ -359,71 +381,70 @@ impl SmtPipeline {
 
     fn squash_after(&mut self, ctx: Ctx, bseq: u64, now: Cycle) {
         let is_prot = ctx.is_protocol();
-        let mut squashed: Vec<(u64, Inst)> = Vec::new();
-        {
-            let th = &mut self.threads[ctx.idx()];
-            while th.window.back().is_some_and(|d| d.seq > bseq) {
-                let d = th.window.pop_back().expect("checked");
-                squashed.push((d.seq, d.inst));
-                if let Some((class, phys, prev)) = d.dst_phys {
-                    self.regs.rollback(
-                        ctx,
-                        Reg {
-                            class,
-                            idx: d.dst_logical,
-                        },
-                        phys,
-                        prev,
-                    );
-                }
-                if d.holds_ckpt {
-                    self.ckpt_used -= 1;
-                    if is_prot {
-                        self.stats.prot_branch_stack.sub(1);
-                    }
-                }
-                if d.in_lsq {
-                    self.lsq_used -= 1;
-                    if is_prot {
-                        self.stats.prot_lsq.sub(1);
-                    }
-                }
-                if d.in_sb {
-                    self.sb_used -= 1;
-                }
-                match d.in_iq {
-                    Some(RegClass::Int) => {
-                        self.iq_int_used -= 1;
-                        if is_prot {
-                            self.stats.prot_int_queue.sub(1);
-                        }
-                    }
-                    Some(RegClass::Fp) => self.iq_fp_used -= 1,
-                    None => {}
-                }
-                self.stats.squashed[ctx.idx()] += 1;
+        let th = &mut self.threads[ctx.idx()];
+        // The refetch order is: squashed window, rename queue, decode queue,
+        // peek slot, then whatever was already awaiting refetch. Append the
+        // new entries behind the old ones, then rotate the old ones to the
+        // back.
+        let old = th.refetch.len();
+        let keep = th.window.partition_point(|d| d.seq <= bseq);
+        let squashed = th.window.len() - keep;
+        th.refetch
+            .extend(th.window.range(keep..).map(|d| (d.seq, d.inst)));
+        // Roll back youngest-first.
+        while th.window.len() > keep {
+            let d = th.window.pop_back().expect("checked");
+            if let Some((class, phys, prev)) = d.dst_phys {
+                self.regs.rollback(
+                    ctx,
+                    Reg {
+                        class,
+                        idx: d.dst_logical,
+                    },
+                    phys,
+                    prev,
+                );
             }
-            while th.mem_order.back().is_some_and(|&s| s > bseq) {
-                th.mem_order.pop_back();
+            if d.holds_ckpt {
+                self.ckpt_used -= 1;
+                if is_prot {
+                    self.stats.prot_branch_stack.sub(1);
+                }
             }
+            if d.in_lsq {
+                self.lsq_used -= 1;
+                if is_prot {
+                    self.stats.prot_lsq.sub(1);
+                }
+            }
+            if d.in_sb {
+                self.sb_used -= 1;
+            }
+            match d.in_iq {
+                Some(RegClass::Int) => {
+                    self.iq_int_used -= 1;
+                    if is_prot {
+                        self.stats.prot_int_queue.sub(1);
+                    }
+                }
+                Some(RegClass::Fp) => self.iq_fp_used -= 1,
+                None => {}
+            }
+            self.stats.squashed[ctx.idx()] += 1;
         }
-        if is_prot && !squashed.is_empty() {
+        while th.mem_order.back().is_some_and(|&s| s > bseq) {
+            th.mem_order.pop_back();
+        }
+        if is_prot && squashed > 0 {
             self.stats.protocol_squash_cycles += 1;
         }
-        squashed.reverse();
         // Remove younger front-end entries; they are all younger than
         // anything in the window.
-        let rq = self.rename_q.remove_ctx(ctx);
-        let dq = self.decode_q.remove_ctx(ctx);
-        let th = &mut self.threads[ctx.idx()];
-        th.frontend_count -= rq.len() + dq.len();
-        let peek = th.peeked.take();
-        let old: Vec<(u64, Inst)> = th.refetch.drain(..).collect();
-        th.refetch.extend(squashed);
-        th.refetch.extend(rq);
-        th.refetch.extend(dq);
-        th.refetch.extend(peek);
-        th.refetch.extend(old);
+        let rq = self.rename_q.remove_ctx(ctx, &mut th.refetch);
+        let dq = self.decode_q.remove_ctx(ctx, &mut th.refetch);
+        th.frontend_count -= rq + dq;
+        th.refetch.extend(th.peeked.take());
+        th.refetch.rotate_left(old);
         if th.block_seq.is_some_and(|s| s > bseq) {
             th.block_seq = None;
         }
@@ -438,7 +459,7 @@ impl SmtPipeline {
     // ------------------------------ commit ------------------------------
 
     fn commit(&mut self, now: Cycle, env: &mut dyn PipeEnv, mem: &mut MemHierarchy) {
-        let active = self.active_ctxs();
+        let active = self.active;
         let n = active.len();
         let mut budget = self.p.commit_width;
         let mut committed_any = [false; MAX_CTX];
@@ -703,89 +724,69 @@ impl SmtPipeline {
         self.drain_protocol_stores(now, mem);
     }
 
-    fn issue_queue(&mut self, class: RegClass, budget: usize, now: Cycle) {
-        let mut budget = budget;
-        let len = match class {
-            RegClass::Int => self.iq_int.len(),
-            RegClass::Fp => self.iq_fp.len(),
-        };
-        let mut kept = VecDeque::with_capacity(len);
-        for _ in 0..len {
-            let (ctx, seq) = match class {
-                RegClass::Int => self.iq_int.pop_front(),
-                RegClass::Fp => self.iq_fp.pop_front(),
-            }
-            .expect("len checked");
-            let lat = {
-                let th = &self.threads[ctx.idx()];
-                match th.find(seq) {
-                    Some(d) if d.in_iq == Some(class) && !d.issued => {
-                        if budget > 0 && self.srcs_ready(d, now) {
-                            Some(d.inst.exec_latency(
-                                self.p.int_mul_latency,
-                                self.p.int_div_latency,
-                                self.p.fp_mul_latency,
-                                self.p.fp_div_latency,
-                            ))
-                        } else {
-                            None
-                        }
+    /// Issue ready entries of one queue oldest-first, up to `budget`, in a
+    /// single in-place pass. Entries left behind keep their age order;
+    /// squashed or stale entries are dropped.
+    fn issue_queue(&mut self, class: RegClass, mut budget: usize, now: Cycle) {
+        let mut q = std::mem::take(match class {
+            RegClass::Int => &mut self.iq_int,
+            RegClass::Fp => &mut self.iq_fp,
+        });
+        q.retain(|&(ctx, seq)| {
+            let lat = match self.threads[ctx.idx()].find(seq) {
+                Some(d) if d.in_iq == Some(class) && !d.issued => {
+                    if budget == 0 || !self.srcs_ready(d, now) {
+                        return true;
                     }
-                    _ => {
-                        continue; // squashed or stale: drop the entry
-                    }
+                    d.inst.exec_latency(
+                        self.p.int_mul_latency,
+                        self.p.int_div_latency,
+                        self.p.fp_mul_latency,
+                        self.p.fp_div_latency,
+                    )
                 }
+                _ => return false, // squashed or stale: drop the entry
             };
-            match lat {
-                Some(lat) => {
-                    budget -= 1;
-                    let is_prot = ctx.is_protocol();
-                    let d = self.threads[ctx.idx()].find_mut(seq).expect("present");
-                    d.issued = true;
-                    d.in_iq = None;
-                    // 2 operand-read stages + execution.
-                    d.ready_at = now + 2 + lat;
-                    let ready_at = d.ready_at;
-                    let dst = d.dst_phys;
-                    // SyncBranches resolve at commit instead (their outcome
-                    // delivery must be non-speculative).
-                    let is_branch =
-                        d.inst.is_branch() && !matches!(d.inst.op, Op::SyncBranch { .. });
-                    match class {
-                        RegClass::Int => {
-                            self.iq_int_used -= 1;
-                            if is_prot {
-                                self.stats.prot_int_queue.sub(1);
-                            }
-                        }
-                        RegClass::Fp => self.iq_fp_used -= 1,
-                    }
-                    if let Some((c, phys, _)) = dst {
-                        self.regs.set_ready(c, phys, ready_at);
-                    }
-                    if is_branch {
-                        self.resolving.push(Resolve {
-                            ctx,
-                            seq,
-                            at: ready_at,
-                        });
-                    }
-                }
-                None => kept.push_back((ctx, seq)),
-            }
+            budget -= 1;
+            self.issue_one(class, ctx, seq, now + 2 + lat);
+            false
+        });
+        match class {
+            RegClass::Int => self.iq_int = q,
+            RegClass::Fp => self.iq_fp = q,
         }
+    }
+
+    /// Issue one issue-queue entry whose result is ready at `ready_at`
+    /// (2 operand-read stages + execution).
+    fn issue_one(&mut self, class: RegClass, ctx: Ctx, seq: u64, ready_at: Cycle) {
+        let is_prot = ctx.is_protocol();
+        let d = self.threads[ctx.idx()].find_mut(seq).expect("present");
+        d.issued = true;
+        d.in_iq = None;
+        d.ready_at = ready_at;
+        let dst = d.dst_phys;
+        // SyncBranches resolve at commit instead (their outcome delivery
+        // must be non-speculative).
+        let is_branch = d.inst.is_branch() && !matches!(d.inst.op, Op::SyncBranch { .. });
         match class {
             RegClass::Int => {
-                // preserve age order: kept entries go back in front order
-                for e in kept.into_iter().rev() {
-                    self.iq_int.push_front(e);
+                self.iq_int_used -= 1;
+                if is_prot {
+                    self.stats.prot_int_queue.sub(1);
                 }
             }
-            RegClass::Fp => {
-                for e in kept.into_iter().rev() {
-                    self.iq_fp.push_front(e);
-                }
-            }
+            RegClass::Fp => self.iq_fp_used -= 1,
+        }
+        if let Some((c, phys, _)) = dst {
+            self.regs.set_ready(c, phys, ready_at);
+        }
+        if is_branch {
+            self.resolving.push(Resolve {
+                ctx,
+                seq,
+                at: ready_at,
+            });
         }
     }
 
@@ -793,7 +794,7 @@ impl SmtPipeline {
         if *port == 0 {
             return;
         }
-        let active = self.active_ctxs();
+        let active = self.active;
         let n = active.len();
         for k in 0..n {
             if *port == 0 {
@@ -1139,18 +1140,20 @@ impl SmtPipeline {
     fn fetch(&mut self, now: Cycle, env: &mut dyn PipeEnv, mem: &mut MemHierarchy) {
         // ICOUNT: pick the fetchable threads with the fewest in-flight
         // instructions.
-        let mut order: Vec<Ctx> = self
-            .active_ctxs()
-            .into_iter()
-            .filter(|&c| {
-                let th = &self.threads[c.idx()];
-                th.block_seq.is_none() && th.fetch_stall_until <= now && !th.awaiting_ifetch
-            })
-            .collect();
+        let mut order = [Ctx(0); MAX_CTX];
+        let mut n = 0;
+        for &c in self.active.iter() {
+            let th = &self.threads[c.idx()];
+            if th.block_seq.is_none() && th.fetch_stall_until <= now && !th.awaiting_ifetch {
+                order[n] = c;
+                n += 1;
+            }
+        }
+        let order = &mut order[..n];
         order.sort_by_key(|&c| self.threads[c.idx()].inflight());
         let mut budget = self.p.fetch_width;
         let mut taken_threads = 0;
-        for ctx in order {
+        for &ctx in order.iter() {
             if budget == 0 || taken_threads == self.p.fetch_threads {
                 break;
             }
@@ -1342,7 +1345,7 @@ impl SmtPipeline {
             }
             bound = bound.min(self.srcs_ready_at(d));
         }
-        for &ctx in &self.active_ctxs() {
+        for &ctx in self.active.iter() {
             let th = &self.threads[ctx.idx()];
             // Memory issue: the head of the memory order issues when its
             // sources are ready — except a Store facing a full store
@@ -1419,7 +1422,7 @@ impl SmtPipeline {
     pub fn skip_stalled(&mut self, from: Cycle, to: Cycle) {
         debug_assert!(to > from);
         let skipped = to - from;
-        let n = self.active_ctxs().len();
+        let n = self.active.len();
         self.rr_commit = (self.rr_commit + (skipped % n as u64) as usize) % n;
         if skipped % 2 == 1 {
             self.drain_first = !self.drain_first;
@@ -1469,7 +1472,7 @@ impl SmtPipeline {
         debug_assert!(to >= from);
         debug_assert!(self.finished() && self.protocol_quiesced());
         let over = to - from;
-        let n = self.active_ctxs().len();
+        let n = self.active.len();
         let back = (over % n as u64) as usize;
         self.rr_commit = (self.rr_commit + n - back) % n;
         if over % 2 == 1 {
@@ -1911,6 +1914,164 @@ mod tests {
             pipe.tick(now, &mut env, &mut mem);
         }
         assert!(!pipe.finished());
+    }
+
+    /// Put `inst` into `ctx`'s window as renamed into the integer issue
+    /// queue, with no source operands unless the caller adds some.
+    fn enqueue_int(pipe: &mut SmtPipeline, ctx: Ctx, inst: Inst) -> u64 {
+        let th = &mut pipe.threads[ctx.idx()];
+        let seq = th.next_seq;
+        th.next_seq += 1;
+        let mut d = DynInst::new(inst, seq, false);
+        d.in_iq = Some(RegClass::Int);
+        th.window.push_back(d);
+        pipe.iq_int.push_back((ctx, seq));
+        pipe.iq_int_used += 1;
+        seq
+    }
+
+    /// Put an issued branch at `pc` into `ctx`'s window, due to resolve at
+    /// `at`, and schedule its resolution.
+    fn issued_branch(
+        pipe: &mut SmtPipeline,
+        ctx: Ctx,
+        pc: u32,
+        target: u32,
+        predicted_taken: bool,
+        at: Cycle,
+    ) -> u64 {
+        let th = &mut pipe.threads[ctx.idx()];
+        let seq = th.next_seq;
+        th.next_seq += 1;
+        let op = Op::Branch {
+            taken: true,
+            target,
+        };
+        let mut d = DynInst::new(Inst::new(op, pc), seq, predicted_taken);
+        d.issued = true;
+        d.ready_at = at;
+        th.window.push_back(d);
+        pipe.resolving.push(Resolve { ctx, seq, at });
+        seq
+    }
+
+    fn iq_int(pipe: &SmtPipeline) -> Vec<(Ctx, u64)> {
+        pipe.iq_int.iter().copied().collect()
+    }
+
+    #[test]
+    fn issue_queue_issues_oldest_ready_first_and_keeps_age_order() {
+        let (mut pipe, _mem) = pipeline(2, true);
+        let budget = pipe.p.alus - 1;
+        let now = 10;
+        // One entry whose source is not ready yet, then more ready entries
+        // than the ALUs can take, alternating between the two threads.
+        let blocked = enqueue_int(&mut pipe, Ctx(0), Inst::new(Op::IntAlu, 0));
+        let phys = pipe.regs.lookup(Ctx(0), Reg::int(5));
+        pipe.regs.set_ready(RegClass::Int, phys, now + 5);
+        pipe.threads[0].find_mut(blocked).unwrap().src_phys[0] = Some((RegClass::Int, phys));
+        let mut ready = Vec::new();
+        for i in 0..budget + 3 {
+            let ctx = Ctx((i % 2) as u8);
+            let seq = enqueue_int(&mut pipe, ctx, Inst::new(Op::IntAlu, i as u32 + 1));
+            ready.push((ctx, seq));
+        }
+        pipe.issue_queue(RegClass::Int, budget, now);
+        for &(ctx, seq) in &ready[..budget] {
+            let d = pipe.threads[ctx.idx()].find(seq).unwrap();
+            assert!(d.issued && d.in_iq.is_none());
+            assert_eq!(d.ready_at, now + 3, "2 operand-read stages + 1");
+        }
+        let mut kept = vec![(Ctx(0), blocked)];
+        kept.extend_from_slice(&ready[budget..]);
+        assert_eq!(iq_int(&pipe), kept, "leftovers keep their age order");
+        assert_eq!(pipe.iq_int_used, kept.len());
+        // Next cycle the leftover ready entries go; the blocked one waits.
+        pipe.issue_queue(RegClass::Int, budget, now + 1);
+        assert_eq!(iq_int(&pipe), vec![(Ctx(0), blocked)]);
+        pipe.issue_queue(RegClass::Int, budget, now + 5);
+        assert!(pipe.iq_int.is_empty());
+        assert_eq!(pipe.iq_int_used, 0);
+    }
+
+    #[test]
+    fn stale_issue_queue_entries_are_dropped_not_issued() {
+        let (mut pipe, _mem) = pipeline(2, true);
+        let now = 10;
+        // Thread 1's two entries (sequences 1 and 2) are squashed by a
+        // branch at sequence 0; thread 0's stay live.
+        pipe.threads[1].next_seq = 1;
+        enqueue_int(&mut pipe, Ctx(1), Inst::new(Op::IntAlu, 1));
+        enqueue_int(&mut pipe, Ctx(1), Inst::new(Op::IntAlu, 2));
+        let a = enqueue_int(&mut pipe, Ctx(0), Inst::new(Op::IntAlu, 3));
+        let b = enqueue_int(&mut pipe, Ctx(0), Inst::new(Op::IntAlu, 4));
+        pipe.squash_after(Ctx(1), 0, now);
+        assert!(pipe.threads[1].window.is_empty());
+        assert_eq!(pipe.threads[1].refetch.len(), 2);
+        // A budget of one: the stale entries must not consume it.
+        pipe.issue_queue(RegClass::Int, 1, now);
+        assert!(pipe.threads[0].find(a).unwrap().issued);
+        assert!(!pipe.threads[0].find(b).unwrap().issued);
+        assert_eq!(iq_int(&pipe), vec![(Ctx(0), b)]);
+        assert_eq!(pipe.iq_int_used, 1);
+    }
+
+    #[test]
+    fn branches_due_on_the_same_cycle_resolve_in_at_ctx_seq_order() {
+        let (mut pipe, _mem) = pipeline(2, true);
+        let mut env = TestEnv::new(vec![Vec::new(), Vec::new()]);
+        let now = 10;
+        // Context order: the last resolution writes the shared BTB entry.
+        issued_branch(&mut pipe, Ctx(1), 7, 111, true, now);
+        issued_branch(&mut pipe, Ctx(0), 7, 100, true, now);
+        // Sequence order: both of thread 0's next branches mispredict; the
+        // older resolves first and squashes the younger, whose resolution
+        // then finds it gone.
+        issued_branch(&mut pipe, Ctx(0), 20, 0, false, now);
+        let young = issued_branch(&mut pipe, Ctx(0), 21, 0, false, now);
+        // Scheduled in the opposite of resolution order.
+        pipe.resolving.reverse();
+        let later = issued_branch(&mut pipe, Ctx(1), 30, 5, true, now + 4);
+
+        pipe.resolve_branches(now, &mut env);
+        assert_eq!(pipe.btb.lookup(7), Some(111), "ctx 1 resolved after ctx 0");
+        assert_eq!(pipe.stats.mispredicts[0], 1, "older branch resolved first");
+        assert_eq!(pipe.stats.squashed[0], 1);
+        assert_eq!(pipe.threads[0].refetch.front().map(|e| e.0), Some(young));
+        assert_eq!(pipe.resolving.len(), 1);
+        assert_eq!(pipe.resolving[0].seq, later);
+    }
+
+    #[test]
+    fn branch_pushed_during_resolution_survives_into_next_cycle() {
+        let (mut pipe, _mem) = pipeline(1, true);
+        let mut env = TestEnv::new(vec![Vec::new()]);
+        let now = 10;
+        let due = issued_branch(&mut pipe, Ctx(0), 3, 0, true, now);
+        let b = enqueue_int(
+            &mut pipe,
+            Ctx(0),
+            Inst::new(
+                Op::Branch {
+                    taken: false,
+                    target: 0,
+                },
+                4,
+            ),
+        );
+        // The cycle's resolve stage, then its issue stage pushes `b`.
+        pipe.resolve_branches(now, &mut env);
+        pipe.issue_queue(RegClass::Int, 1, now);
+        assert!(pipe.threads[0].find(due).unwrap().resolved);
+        assert_eq!(pipe.resolving.len(), 1);
+        assert_eq!(pipe.resolving[0].seq, b);
+        let at = pipe.resolving[0].at;
+        assert_eq!(at, now + 3);
+        pipe.resolve_branches(at - 1, &mut env);
+        assert!(!pipe.threads[0].find(b).unwrap().resolved);
+        pipe.resolve_branches(at, &mut env);
+        assert!(pipe.threads[0].find(b).unwrap().resolved);
+        assert!(pipe.resolving.is_empty());
     }
 
     /// A thread can be `finished()` while its last committed stores are
