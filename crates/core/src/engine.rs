@@ -3,9 +3,13 @@
 //! Two interchangeable backends produce bit-identical results:
 //!
 //! * [`EngineKind::Serial`] — the reference loop in
-//!   [`System::run`](crate::System::run): every node ticked in index order,
-//!   one cycle at a time. Simple, and the oracle the parallel engine is
-//!   tested against.
+//!   [`System::run`](crate::System::run): nodes ticked in index order, one
+//!   cycle at a time, each node skipping the cycles its freeze certificate
+//!   ([`Node::next_activity`]) proves to be pure stalls, with the skipped
+//!   bookkeeping settled before anything reads node state. Single-threaded,
+//!   and the oracle the parallel engine is tested against; a loop of
+//!   [`System::tick`](crate::System::tick), which ticks every node every
+//!   cycle, is in turn the oracle for the certificate.
 //! * [`EngineKind::Parallel`] — the epoch engine in this module. Nodes are
 //!   partitioned across worker threads and advanced independently for
 //!   *epochs* bounded so that within one epoch no message injected by any
@@ -53,13 +57,13 @@
 //!    cycles and `max_cycles`, so every check runs at the same cycle, on
 //!    the same machine state, in the same order as the serial loop.
 //!
-//! The engine also skips provably idle cycles: after each tick a node
-//! reports a conservative bound ([`Node::next_activity`]) below which
-//! every tick would be a pure stall tick, and the worker jumps straight to
-//! the bound (clamped to the next scheduled delivery and the epoch end),
-//! bulk-applying the skipped bookkeeping. Fault-armed nodes never skip,
-//! and the cut schedule above keeps watchdog, invariant and sampler ticks
-//! exact.
+//! Like the serial loop, the engine skips provably idle cycles: after each
+//! tick a node reports a conservative bound ([`Node::next_activity`])
+//! below which every tick would be a pure stall tick, and the worker jumps
+//! straight to the bound (clamped to the next scheduled delivery and the
+//! epoch end), bulk-applying the skipped bookkeeping. Fault-armed nodes
+//! never skip, and the cut schedule above keeps watchdog, invariant and
+//! sampler ticks exact.
 //!
 //! Partitions are contiguous node ranges delimited by fence posts carried
 //! in each epoch's [`WindowPlan`]. With [`EngineTuning::rebalance_every`]
@@ -98,7 +102,8 @@ use std::time::Instant;
 /// purely about wall-clock speed.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum EngineKind {
-    /// The reference loop: one cycle at a time, nodes in index order.
+    /// The reference loop: one cycle at a time, nodes in index order,
+    /// idle-skipping nodes under a freeze certificate. Single-threaded.
     #[default]
     Serial,
     /// The epoch engine: nodes partitioned across worker threads,

@@ -246,6 +246,55 @@ impl MetricsState {
     }
 }
 
+/// The serial run loop's per-node wake schedule. A node ticked at `now`
+/// whose freeze certificate returns bound `b` sleeps until `b`; the
+/// stall bookkeeping it skips is settled lazily with [`Node::skip_idle`].
+struct IdleSkip {
+    /// Next cycle each node must be ticked at.
+    wake: Vec<Cycle>,
+    /// First cycle of each node's not-yet-settled skip span.
+    settled: Vec<Cycle>,
+    /// Node-cycles actually ticked.
+    ticked: u64,
+    /// Node-cycles skipped and settled in bulk.
+    skipped: u64,
+}
+
+impl IdleSkip {
+    fn new(nodes: usize, start: Cycle) -> IdleSkip {
+        IdleSkip {
+            wake: vec![start; nodes],
+            settled: vec![start; nodes],
+            ticked: 0,
+            skipped: 0,
+        }
+    }
+
+    /// Apply node `i`'s skipped bookkeeping up to (excluding) cycle `to`.
+    fn settle(&mut self, node: &mut Node, i: usize, to: Cycle) {
+        let from = self.settled[i];
+        if from < to {
+            node.skip_idle(from, to);
+            self.skipped += to - from;
+            self.settled[i] = to;
+        }
+    }
+
+    /// Settle every node up to (excluding) cycle `to`.
+    fn settle_all(&mut self, nodes: &mut [Node], to: Cycle) {
+        for (i, node) in nodes.iter_mut().enumerate() {
+            self.settle(node, i, to);
+        }
+    }
+
+    /// Node `i` was just ticked at `now`: schedule its next tick.
+    fn after_tick(&mut self, node: &Node, i: usize, now: Cycle) {
+        self.ticked += 1;
+        self.settled[i] = now + 1;
+        self.wake[i] = node.next_activity(now).unwrap_or(now + 1);
+    }
+}
+
 /// A complete simulated DSM machine running one application.
 ///
 /// Fields are crate-visible so the execution engines
@@ -543,7 +592,10 @@ impl System {
         self.now
     }
 
-    /// Advance one cycle.
+    /// Advance one cycle, ticking every node. This is the plain
+    /// cycle-by-cycle step: it never idle-skips, which makes a loop of
+    /// `tick` calls the independent oracle for the freeze certificates
+    /// ([`Node::next_activity`]) that both run engines skip by.
     pub fn tick(&mut self) {
         let now = self.now;
         if let Some(net) = &mut self.network {
@@ -551,37 +603,79 @@ impl System {
                 self.nodes[msg.dst.idx()].receive(msg, now);
             }
         }
-        for node in &mut self.nodes {
-            let was_quiet = node.quiescent();
-            let was_finished = node.app_finished();
-            node.tick(now, &mut self.sync);
-            if node.quiescent() != was_quiet {
-                if was_quiet {
-                    self.quiet_nodes -= 1;
-                } else {
-                    self.quiet_nodes += 1;
-                }
-            }
-            if node.app_finished() && !was_finished {
-                self.finished_nodes += 1;
-            }
-            node.drain_outbox(&mut self.outbox_scratch);
-            if let Some(net) = &mut self.network {
-                for (at, msg) in self.outbox_scratch.drain(..) {
-                    net.inject(at.max(now), msg);
-                }
-            } else if !self.outbox_scratch.is_empty() {
-                // A 1-node machine has no network; a message bound for a
-                // remote node means the address map or protocol is broken.
-                // Record a structured failure for the run loop instead of
-                // crashing mid-tick.
-                let id = node.id();
-                self.outbox_scratch.clear();
-                self.pending_error.get_or_insert_with(|| {
-                    format!("network message emitted on a 1-node machine by {id:?} at cycle {now}")
-                });
+        for i in 0..self.nodes.len() {
+            self.tick_node(i, now);
+        }
+        self.end_cycle(now);
+    }
+
+    /// One cycle of the serial run loop: [`System::tick`], except that
+    /// nodes asleep under a freeze certificate are not ticked. A delivery
+    /// wakes its destination early; every other read of node state from
+    /// outside settles the sleepers first.
+    fn tick_skipping(&mut self, idle: &mut IdleSkip) {
+        let now = self.now;
+        if let Some(net) = &mut self.network {
+            while let Some(msg) = net.pop_arrived(now) {
+                let d = msg.dst.idx();
+                idle.settle(&mut self.nodes[d], d, now);
+                idle.wake[d] = now;
+                self.nodes[d].receive(msg, now);
             }
         }
+        for i in 0..self.nodes.len() {
+            if idle.wake[i] > now {
+                continue;
+            }
+            idle.settle(&mut self.nodes[i], i, now);
+            self.tick_node(i, now);
+            idle.after_tick(&self.nodes[i], i, now);
+        }
+        // The sampler reads per-node counters the sleepers still owe.
+        if self.metrics.as_ref().is_some_and(|m| m.sampler.due(now)) {
+            idle.settle_all(&mut self.nodes, now + 1);
+        }
+        self.end_cycle(now);
+    }
+
+    /// Tick node `i` at `now` and route its outbox into the network: the
+    /// per-node body shared by [`System::tick`] and the serial run loop.
+    fn tick_node(&mut self, i: usize, now: Cycle) {
+        let node = &mut self.nodes[i];
+        let was_quiet = node.quiescent();
+        let was_finished = node.app_finished();
+        node.tick(now, &mut self.sync);
+        if node.quiescent() != was_quiet {
+            if was_quiet {
+                self.quiet_nodes -= 1;
+            } else {
+                self.quiet_nodes += 1;
+            }
+        }
+        if node.app_finished() && !was_finished {
+            self.finished_nodes += 1;
+        }
+        node.drain_outbox(&mut self.outbox_scratch);
+        if let Some(net) = &mut self.network {
+            for (at, msg) in self.outbox_scratch.drain(..) {
+                net.inject(at.max(now), msg);
+            }
+        } else if !self.outbox_scratch.is_empty() {
+            // A 1-node machine has no network; a message bound for a
+            // remote node means the address map or protocol is broken.
+            // Record a structured failure for the run loop instead of
+            // crashing mid-tick.
+            let id = node.id();
+            self.outbox_scratch.clear();
+            self.pending_error.get_or_insert_with(|| {
+                format!("network message emitted on a 1-node machine by {id:?} at cycle {now}")
+            });
+        }
+    }
+
+    /// Close cycle `now`: application-completion mark, metrics sample,
+    /// clock advance.
+    fn end_cycle(&mut self, now: Cycle) {
         if self.app_done_at.is_none() && self.finished_nodes == self.nodes.len() {
             self.app_done_at = Some(now);
         }
@@ -677,6 +771,16 @@ impl System {
     /// unrecoverable faults into structured errors; exhausting `max_cycles`
     /// before quiescence reports as a deadlock. The tracer is flushed on
     /// both paths.
+    ///
+    /// The serial engine ticks nodes in index order, one cycle at a time,
+    /// but skips a node's provably idle cycles: after each tick it asks the
+    /// node's freeze certificate ([`Node::next_activity`]) and does not
+    /// tick it again before the bound, unless a network delivery wakes it
+    /// early. The skipped stall bookkeeping is settled in bulk
+    /// ([`Node::skip_idle`]) before anything reads node state (checks,
+    /// samples, errors, run exit), so the results are bit-identical to a
+    /// loop of [`System::tick`]. Fault-armed nodes never certify and are
+    /// ticked every cycle.
     pub fn run(&mut self, max_cycles: Cycle) -> Result<RunStats, RunError> {
         self.run_with(max_cycles, EngineKind::Serial)
     }
@@ -714,9 +818,20 @@ impl System {
             // log.
             hb.emit(start_cycle, "serial", 1, 0, &[0.0]);
         }
+        let mut idle = IdleSkip::new(self.nodes.len(), start_cycle);
         let res: Result<(), RunError> = 'run: {
             while !self.quiesced() {
-                self.tick();
+                self.tick_skipping(&mut idle);
+                // Everything below reads node state: settle the sleepers
+                // on any cycle where a check, an error or the budget fires.
+                let now = self.now;
+                if self.pending_error.is_some()
+                    || now.is_multiple_of(WATCHDOG_INTERVAL)
+                    || self.invariant_every.is_some_and(|e| now.is_multiple_of(e))
+                    || now >= max_cycles
+                {
+                    idle.settle_all(&mut self.nodes, now);
+                }
                 if let Some(msg) = self.pending_error.take() {
                     break 'run Err(self.run_error(RunErrorKind::UnrecoverableFault, msg));
                 }
@@ -777,6 +892,7 @@ impl System {
             }
             Ok(())
         };
+        idle.settle_all(&mut self.nodes, self.now);
         self.tracer.flush();
         if let Some(mut t) = timer {
             if self.now > epoch_start {
@@ -813,10 +929,8 @@ impl System {
                 epoch_cycles,
                 barrier_msgs: Histogram::new(),
                 imbalance_x1000: Histogram::new(),
-                // The serial loop ticks every node every cycle; it never
-                // idle-skips.
-                ticked_cycles: sim_cycles * self.nodes.len() as u64,
-                skipped_cycles: 0,
+                ticked_cycles: idle.ticked,
+                skipped_cycles: idle.skipped,
             });
         }
         res.map(|()| self.collect())

@@ -101,19 +101,37 @@ fn assert_telescopes(host: &HostProfile, label: &str) {
     );
 }
 
-#[test]
-fn serial_profile_telescopes_and_covers_the_run() {
-    let e = point(MachineModel::SMTp, 2, 2, None);
-    let o = observe(&e, EngineKind::Serial, true);
+/// A serial run's host profile, checked for the invariants every serial
+/// profile obeys: one lane that telescopes, and every node-cycle of the
+/// run either ticked or idle-skipped exactly once.
+fn serial_profile(e: &ExperimentConfig, label: &str) -> HostProfile {
+    let o = observe(e, EngineKind::Serial, true);
     let host = o.host.expect("telemetry on must yield a profile");
     assert_eq!(host.engine, "serial");
     assert_eq!(host.workers, 1);
     assert_eq!(host.lanes.len(), 1);
-    assert!(host.epochs > 0, "no epochs recorded");
+    assert!(host.epochs > 0, "[{label}] no epochs recorded");
     assert!(host.sim_cycles > 0 && host.wall_ns > 0);
-    assert_eq!(host.skipped_cycles, 0, "serial engine never skips");
-    assert!(host.ticked_cycles >= host.sim_cycles);
-    assert_telescopes(&host, "serial");
+    assert_eq!(
+        host.ticked_cycles + host.skipped_cycles,
+        host.sim_cycles * e.nodes as u64,
+        "[{label}] ticked + skipped node-cycles do not cover the run"
+    );
+    assert_telescopes(&host, label);
+    host
+}
+
+#[test]
+fn serial_profile_telescopes_and_covers_the_run() {
+    serial_profile(&point(MachineModel::SMTp, 2, 2, None), "serial");
+    // Ocean's memory stalls are where the freeze certificates pay off.
+    let mut ocean = point(MachineModel::SMTp, 2, 2, None);
+    ocean.app = AppKind::Ocean;
+    let host = serial_profile(&ocean, "serial ocean");
+    assert!(host.skipped_cycles > 0, "serial engine skipped nothing");
+    // Fault-armed nodes never certify, so chaos runs tick every cycle.
+    let host = serial_profile(&point(MachineModel::SMTp, 2, 2, Some(3)), "serial chaos");
+    assert_eq!(host.skipped_cycles, 0, "a fault-armed node skipped");
 }
 
 #[test]
